@@ -23,16 +23,39 @@
 //! Speculative motions obey §5.3: an instruction defining a register that
 //! is live on exit from `A` is rejected — or, when the definition's
 //! du-chain is local to its home block, renamed to a fresh register (the
-//! paper's `cr6`→`cr5` motion in Figure 6). Liveness is kept current
-//! across motions ("this type of information has to be updated
-//! dynamically") by an incremental repair: only the source and target
-//! blocks change code, so their `use`/`def` summaries are re-derived and
-//! the dataflow fixed point re-solved over the region's blocks alone
-//! ([`Liveness::update_after_motion`]). The original whole-function
-//! recompute survives as a fallback
-//! ([`SchedConfig::reference_hot_paths`]) and as the differential check
-//! asserted after every motion under debug builds and the
-//! [`SchedConfig::verify_each_pass`] gate.
+//! paper's `cr6`→`cr5` motion in Figure 6). §5.3 needs live sets only for
+//! the region's own blocks, so liveness is region-local end to end:
+//!
+//! * **Boundary.** Each global pass solves whole-function liveness once,
+//!   on the pass-start function. A region whose exit successors all lie
+//!   in ancestor regions ([`exits_are_stable`]) reads their live-ins from
+//!   it: ancestors are scheduled after their descendants and legal
+//!   motions never change liveness outside their region, so those facts
+//!   are still current at the region's turn.
+//! * **Region-local solve.** Such a region summarizes only its own blocks
+//!   and solves the dataflow over them, seeded from the boundary
+//!   ([`Liveness::for_region`]) — cost proportional to the region, not
+//!   the function. The per-instruction scheduling tables are likewise
+//!   indexed by dense scope position ([`DataDeps::position`]).
+//! * **Updates.** Liveness is kept current across motions ("this type of
+//!   information has to be updated dynamically") by an incremental
+//!   repair: only the source and target blocks change code, so their
+//!   `use`/`def` summaries are re-derived and the fixed point re-solved
+//!   over the region's blocks alone ([`Liveness::update_after_motion`]).
+//!   Duplication and its dedup fold touch more blocks and re-solve the
+//!   region from scratch, on the same path the region started on.
+//! * **Fallback.** A whole-function [`Liveness::compute`] initializes
+//!   regions with an exit into a non-ancestor region (say a loop falling
+//!   into its sibling's header), lone regions scheduled through the
+//!   public [`schedule_region`] (no pass to amortize a boundary solve
+//!   over), the reference hot paths
+//!   ([`SchedConfig::reference_hot_paths`], kept as the oracle), and the
+//!   fault-injection switches. `SchedStats::liveness_region` and
+//!   `SchedStats::liveness_full` count the two kinds of solve.
+//!
+//! Under debug builds and the [`SchedConfig::verify_each_pass`] gate, the
+//! maintained sets are checked against a whole-function recompute on
+//! every scope block, at region start and after every motion.
 
 use crate::config::{SchedConfig, SchedLevel};
 use crate::dcp::Heuristics;
@@ -69,6 +92,9 @@ pub fn schedule_region(
 /// motions with their winning tie-break, §5.3 rejections, renames — to
 /// `obs`. With the no-op observer the schedule is bit-identical to
 /// `schedule_region`.
+///
+/// A lone region has no pass to amortize a boundary solve over, so its
+/// liveness is a whole-function [`Liveness::compute`].
 #[allow(clippy::too_many_arguments)]
 pub fn schedule_region_observed<O: SchedObserver>(
     f: &mut Function,
@@ -79,6 +105,30 @@ pub fn schedule_region_observed<O: SchedObserver>(
     config: &SchedConfig,
     stats: &mut SchedStats,
     obs: &mut O,
+) -> bool {
+    schedule_region_in_pass(f, machine, cfg, tree, rid, config, stats, obs, None)
+}
+
+/// [`schedule_region_observed`] inside a global pass: `pass_live` is the
+/// pass-start [`Liveness::compute`] of the function. When every exit
+/// successor of the region lies in an ancestor region
+/// ([`exits_are_stable`]), its pass-start live-ins are still current and
+/// the region's liveness is solved locally against them
+/// ([`Liveness::for_region`]); otherwise — and for the reference hot
+/// paths and the fault-injection switches, see [`solves_liveness_locally`]
+/// — it falls back to a whole-function compute. Both give the same sets
+/// on the region's blocks, so the schedule is the same either way.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn schedule_region_in_pass<O: SchedObserver>(
+    f: &mut Function,
+    machine: &MachineDescription,
+    cfg: &Cfg,
+    tree: &RegionTree,
+    rid: gis_cfg::RegionId,
+    config: &SchedConfig,
+    stats: &mut SchedStats,
+    obs: &mut O,
+    pass_live: Option<&Liveness>,
 ) -> bool {
     if config.level == SchedLevel::BasicBlockOnly {
         return false;
@@ -137,15 +187,21 @@ pub fn schedule_region_observed<O: SchedObserver>(
     deps.reduce();
     stats.dep_edges_reduced += deps.num_edges();
 
-    let bound = f.inst_id_bound();
-    // Original program order for the final tie-break (dense by inst id;
-    // only scope instructions are ever looked up).
-    let mut order_index: Vec<u32> = vec![0; bound];
-    for (i, id) in deps.scope_order().iter().enumerate() {
-        order_index[id.index()] = i as u32;
+    // Per-instruction tables are indexed by scope position
+    // ([`DataDeps::position`]), so they follow the region's size.
+    let n = deps.scope_order().len();
+    let mut inst_node = vec![NO_NODE; n];
+    for &b in &scope_blocks {
+        for inst in f.block(b).insts() {
+            inst_node[scope_pos(&deps, inst.id)] = node_of[&b].index() as u32;
+        }
     }
+    let boundary = pass_live.filter(|_| {
+        solves_liveness_locally(config)
+            && exits_are_stable(tree, rid, &exit_blocks(f, &scope_blocks))
+    });
+    let liveness = solve_liveness(f, cfg, &scope_blocks, boundary, stats);
 
-    stats.liveness_full += 1;
     stats.scratch_allocs += 1;
     let mut pass = RegionPass {
         machine,
@@ -154,18 +210,16 @@ pub fn schedule_region_observed<O: SchedObserver>(
         deps: &deps,
         reach: &reach,
         scope: &scope_blocks,
-        order_index: &order_index,
-        placed: DenseBitSet::with_capacity(bound),
-        inst_node: vec![NO_NODE; bound],
-        liveness: Liveness::compute(f, cfg),
-        scratch: Scratch::new(machine, bound),
+        boundary,
+        placed: DenseBitSet::with_capacity(n),
+        inst_node,
+        liveness,
+        scratch: Scratch::new(machine, n),
         stats,
         obs,
     };
-    for &b in &scope_blocks {
-        for inst in f.block(b).insts() {
-            pass.inst_node[inst.id.index()] = node_of[&b].index() as u32;
-        }
+    if boundary.is_some() {
+        pass.verify_liveness(f, || "at region start".to_owned());
     }
 
     for &node in g.topo_order() {
@@ -175,6 +229,39 @@ pub fn schedule_region_observed<O: SchedObserver>(
     }
     pass.stats.regions_scheduled += 1;
     true
+}
+
+/// Whether `config` lets regions solve liveness locally against the
+/// pass-start boundary. The reference hot paths keep the whole-function
+/// solve as the oracle. The fault-injection switches make motions that
+/// are *not* legal, which can change liveness outside the region and so
+/// void the boundary argument; they too solve whole-function, so their
+/// miscompiles surface in execution, where the self-tests look for them.
+pub(crate) fn solves_liveness_locally(config: &SchedConfig) -> bool {
+    !config.reference_hot_paths
+        && !config.inject_skip_live_on_exit
+        && !config.inject_skip_dup_pred_check
+}
+
+/// The region's liveness: solved over `scope` against `boundary` when the
+/// region may solve locally, otherwise over the whole function.
+fn solve_liveness(
+    f: &Function,
+    cfg: &Cfg,
+    scope: &[BlockId],
+    boundary: Option<&Liveness>,
+    stats: &mut SchedStats,
+) -> Liveness {
+    match boundary {
+        Some(pass_live) => {
+            stats.liveness_region += 1;
+            Liveness::for_region(f, cfg, scope, pass_live)
+        }
+        None => {
+            stats.liveness_full += 1;
+            Liveness::compute(f, cfg)
+        }
+    }
 }
 
 /// All blocks of a region's subtree (direct blocks plus nested regions').
@@ -188,6 +275,46 @@ pub(crate) fn subtree_blocks(tree: &RegionTree, rid: gis_cfg::RegionId) -> Vec<B
     }
     out.sort();
     out
+}
+
+/// Blocks outside `scope` that some scope block branches or falls
+/// through into, ascending and deduplicated. `scope` must be sorted.
+pub(crate) fn exit_blocks(f: &Function, scope: &[BlockId]) -> Vec<BlockId> {
+    let mut out = Vec::new();
+    for &b in scope {
+        for s in f.succs(b) {
+            if scope.binary_search(&s).is_err() {
+                out.push(s);
+            }
+        }
+    }
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// Whether every exit successor lives in a strict ancestor of `rid` —
+/// the condition under which its pass-start live-ins cannot go stale
+/// before `rid`'s turn: ancestors are scheduled after descendants
+/// ([`RegionTree::schedule_order`] is innermost-first), no other region
+/// may mutate an ancestor's direct blocks, and legal motions inside a
+/// region never change liveness outside it. A block in a non-ancestor
+/// region — say the header of the sibling loop a loop falls into — can
+/// be scheduled, and its live-ins changed, earlier in the same pass.
+pub(crate) fn exits_are_stable(
+    tree: &RegionTree,
+    rid: gis_cfg::RegionId,
+    exits: &[BlockId],
+) -> bool {
+    let mut ancestors = Vec::new();
+    let mut cur = tree.region(rid).parent;
+    while let Some(p) = cur {
+        ancestors.push(p);
+        cur = tree.region(p).parent;
+    }
+    exits
+        .iter()
+        .all(|&s| ancestors.contains(&tree.innermost(s)))
 }
 
 /// Whether a region passes the §6 size gates that
@@ -264,11 +391,14 @@ struct RegionPass<'a, O: SchedObserver> {
     /// The region subtree's blocks, ascending — the incremental
     /// liveness repair re-solves over exactly these.
     scope: &'a [BlockId],
-    order_index: &'a [u32],
-    /// Instructions placed by this region pass (any block), by id.
+    /// The pass-start liveness the region solves against, when it may
+    /// solve locally; `None` means whole-function solves.
+    boundary: Option<&'a Liveness>,
+    /// Instructions placed by this region pass (any block), by scope
+    /// position.
     placed: DenseBitSet,
-    /// Current region-graph node index of every scope instruction
-    /// (dense by inst id; [`NO_NODE`] outside the scope).
+    /// Current region-graph node index of every scope instruction, by
+    /// scope position.
     inst_node: Vec<u32>,
     liveness: Liveness,
     scratch: Scratch,
@@ -280,38 +410,40 @@ struct RegionPass<'a, O: SchedObserver> {
 /// loops: allocated once per region, reset (capacity kept) per block, so
 /// the cycle-by-cycle scheduling loop itself performs no heap
 /// allocation. The `scratch_allocs` / `scratch_reuses` stats count
-/// bundle creations vs block passes that reused one.
+/// bundle creations vs block passes that reused one. Every
+/// per-instruction table is indexed by scope position
+/// ([`DataDeps::position`]) and sized by the region.
 struct Scratch {
     cands: Vec<Candidate>,
     new_order: Vec<InstId>,
-    /// Issue cycle per candidate id ([`UNPLACED`] when not placed);
-    /// reset via the candidate list, not a full sweep.
+    /// Issue cycle per candidate ([`UNPLACED`] when not placed); reset
+    /// via the candidate list, not a full sweep.
     place_time: Vec<u64>,
-    /// Candidate-set membership by inst id.
+    /// Candidate-set membership.
     in_s: DenseBitSet,
-    /// §5.3-rejected candidates by inst id.
+    /// §5.3-rejected candidates.
     rejected: DenseBitSet,
     /// Busy-until cycle per functional unit, by unit kind.
     units: Vec<Vec<u64>>,
-    /// Final position per placed inst id, for the block reorder.
+    /// Final position per placed instruction, for the block reorder.
     rank: Vec<u32>,
     /// Ever used by a block pass already (drives `scratch_reuses`).
     used: bool,
 }
 
 impl Scratch {
-    fn new(machine: &MachineDescription, inst_bound: usize) -> Self {
+    fn new(machine: &MachineDescription, scope_insts: usize) -> Self {
         Scratch {
             cands: Vec::new(),
             new_order: Vec::new(),
-            place_time: vec![UNPLACED; inst_bound],
-            in_s: DenseBitSet::with_capacity(inst_bound),
-            rejected: DenseBitSet::with_capacity(inst_bound),
+            place_time: vec![UNPLACED; scope_insts],
+            in_s: DenseBitSet::with_capacity(scope_insts),
+            rejected: DenseBitSet::with_capacity(scope_insts),
             units: machine
                 .unit_kinds()
                 .map(|k| vec![0u64; machine.unit_count(k) as usize])
                 .collect(),
-            rank: vec![0; inst_bound],
+            rank: vec![0; scope_insts],
             used: false,
         }
     }
@@ -319,7 +451,7 @@ impl Scratch {
     /// Returns the buffers to their empty state, keeping capacity.
     fn reset(&mut self) {
         for &c in &self.cands {
-            self.place_time[c.id.index()] = UNPLACED;
+            self.place_time[c.pos] = UNPLACED;
         }
         self.cands.clear();
         self.new_order.clear();
@@ -334,6 +466,10 @@ impl Scratch {
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     id: InstId,
+    /// Scope position of `id` ([`DataDeps::position`]): the index into
+    /// the region's dense per-instruction tables, which also orders
+    /// candidates by original program order.
+    pos: usize,
     home: BlockId,
     useful: bool,
     /// Execution probability given the target block executes (1.0 for
@@ -345,6 +481,11 @@ struct Candidate {
     /// sibling predecessor. Exempt from the §5.3 live-on-exit gate — the
     /// motion preserves execution counts, it is not speculative.
     dup: bool,
+}
+
+/// The scope position of a scope instruction ([`DataDeps::position`]).
+fn scope_pos(deps: &DataDeps, id: InstId) -> usize {
+    deps.position(id).expect("scope instruction")
 }
 
 /// The scheduler's priority key for a candidate: useful-before-
@@ -604,6 +745,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
             a_remaining += 1;
             self.scratch.cands.push(Candidate {
                 id: inst.id,
+                pos: scope_pos(self.deps, inst.id),
                 home: a,
                 useful: true,
                 prob: 1.0,
@@ -618,6 +760,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                 if inst.op.may_cross_block() {
                     self.scratch.cands.push(Candidate {
                         id: inst.id,
+                        pos: scope_pos(self.deps, inst.id),
                         home: b,
                         useful: true,
                         prob: 1.0,
@@ -637,6 +780,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                 {
                     self.scratch.cands.push(Candidate {
                         id: inst.id,
+                        pos: scope_pos(self.deps, inst.id),
                         home: b,
                         useful: false,
                         prob,
@@ -667,6 +811,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                 {
                     self.scratch.cands.push(Candidate {
                         id: inst.id,
+                        pos: scope_pos(self.deps, inst.id),
                         home: *b,
                         useful: false,
                         prob: 1.0,
@@ -707,7 +852,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
             }
         }
         for c in &self.scratch.cands {
-            self.scratch.in_s.insert(c.id.index());
+            self.scratch.in_s.insert(c.pos);
         }
 
         // Per-block D/CP heuristics over current block contents.
@@ -729,8 +874,8 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                 // tie-break attribution.
                 let mut second: Option<PriorityKey> = None;
                 for c in &self.scratch.cands {
-                    if self.scratch.place_time[c.id.index()] != UNPLACED
-                        || self.scratch.rejected.contains(c.id.index())
+                    if self.scratch.place_time[c.pos] != UNPLACED
+                        || self.scratch.rejected.contains(c.pos)
                     {
                         continue;
                     }
@@ -758,7 +903,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                         (c.prob * 1000.0) as u32, // likelier gambles first
                         h.d(c.id),
                         h.cp(c.id),
-                        std::cmp::Reverse(self.order_index[c.id.index()] as usize),
+                        std::cmp::Reverse(c.pos),
                     );
                     if best.as_ref().is_none_or(|(_, bk)| key > *bk) {
                         if enabled {
@@ -797,7 +942,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                     && !cand.dup
                     && !self.speculation_allowed(f, a, &cand)
                 {
-                    self.scratch.rejected.insert(cand.id.index());
+                    self.scratch.rejected.insert(cand.pos);
                     if enabled {
                         self.obs.event(TraceEvent::Rejected {
                             inst: cand.id.index() as u32,
@@ -819,8 +964,8 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                     .position(|&busy| busy <= t)
                     .expect("free unit checked");
                 self.scratch.units[kind.index()][slot] = t + exec;
-                self.scratch.place_time[cand.id.index()] = t;
-                self.placed.insert(cand.id.index());
+                self.scratch.place_time[cand.pos] = t;
+                self.placed.insert(cand.pos);
                 self.scratch.new_order.push(cand.id);
 
                 if cand.home == a {
@@ -853,7 +998,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                     let at = block_a.len()
                         - usize::from(block_a.last().is_some_and(|i| i.op.is_branch()));
                     f.relink_inst(cand.id, cand.home, a, at);
-                    self.inst_node[cand.id.index()] = node_a.index() as u32;
+                    self.inst_node[cand.pos] = node_a.index() as u32;
                     let sibs: &[BlockId] = dup_joins
                         .iter()
                         .find_map(|(b, s)| (*b == cand.home).then_some(s.as_slice()))
@@ -885,9 +1030,11 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                     }
                     // The join, A, and every sibling changed code: the
                     // incremental repair models a single source/target
-                    // pair, so duplication pays for a full recompute.
-                    self.liveness = Liveness::compute(f, self.cfg);
-                    self.stats.liveness_full += 1;
+                    // pair, so duplication pays for a fresh solve (still
+                    // region-local when the region solves locally).
+                    self.resolve_liveness(f, || {
+                        format!("after duplicating {} from {} into {a}", cand.id, cand.home)
+                    });
                 } else {
                     if enabled {
                         self.obs.event(TraceEvent::Moved {
@@ -911,7 +1058,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                     let at = block_a.len()
                         - usize::from(block_a.last().is_some_and(|i| i.op.is_branch()));
                     f.relink_inst(cand.id, cand.home, a, at);
-                    self.inst_node[cand.id.index()] = node_a.index() as u32;
+                    self.inst_node[cand.pos] = node_a.index() as u32;
                     if cand.useful {
                         self.stats.moved_useful += 1;
                     } else {
@@ -929,17 +1076,9 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                         self.liveness
                             .update_after_motion(f, self.cfg, self.scope, a, cand.home);
                         self.stats.liveness_incremental += 1;
-                        if cfg!(debug_assertions) || self.config.verify_each_pass.is_some() {
-                            assert_eq!(
-                                self.liveness,
-                                Liveness::compute(f, self.cfg),
-                                "incremental liveness diverged from a full recompute \
-                                 after moving {} from {} into {}",
-                                cand.id,
-                                cand.home,
-                                a
-                            );
-                        }
+                        self.verify_liveness(f, || {
+                            format!("after moving {} from {} into {a}", cand.id, cand.home)
+                        });
                     }
                 }
 
@@ -958,30 +1097,32 @@ impl<O: SchedObserver> RegionPass<'_, O> {
             "every instruction of A was scheduled"
         );
         for (i, id) in self.scratch.new_order.iter().enumerate() {
-            self.scratch.rank[id.index()] = i as u32;
+            self.scratch.rank[scope_pos(self.deps, *id)] = i as u32;
         }
         let rank = &self.scratch.rank;
-        f.block_mut(a).sort_by_key(|inst| rank[inst.id.index()]);
+        f.block_mut(a)
+            .sort_by_key(|inst| rank[scope_pos(self.deps, inst.id)]);
     }
 
     /// Whether all data dependences into `id` are fulfilled at cycle `t`.
     fn ready(&self, node_a: NodeId, id: InstId, t: u64) -> bool {
         for e in self.deps.preds(id) {
-            let tp = self.scratch.place_time[e.from.index()];
+            let from = scope_pos(self.deps, e.from);
+            let tp = self.scratch.place_time[from];
             if tp != UNPLACED {
                 // Placed in this very block pass: timing applies.
                 if tp + e.sep() as u64 > t {
                     return false;
                 }
-            } else if self.placed.contains(e.from.index()) {
+            } else if self.placed.contains(from) {
                 // Placed in an earlier block of this region: the paper's
                 // per-block restart; interlocks cover residual delays.
-            } else if self.scratch.in_s.contains(e.from.index()) {
+            } else if self.scratch.in_s.contains(from) {
                 return false; // will be scheduled in this pass, wait for it
             } else {
                 // Outside the candidate set: blocked when it could still
                 // execute between A and the candidate's home block.
-                let pn = self.inst_node[e.from.index()];
+                let pn = self.inst_node[from];
                 if self.reach[node_a.index()].contains(pn as usize) {
                     return false;
                 }
@@ -1022,7 +1163,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
             return false; // diverged (e.g. a speculative rename): keep both
         }
         for e in self.deps.preds(cand.id) {
-            if self.scratch.place_time[e.from.index()] == UNPLACED {
+            if self.scratch.place_time[scope_pos(self.deps, e.from)] == UNPLACED {
                 continue; // upstream of a on every path: same value
             }
             match self.scratch.new_order.iter().position(|&x| x == e.from) {
@@ -1031,12 +1172,46 @@ impl<O: SchedObserver> RegionPass<'_, O> {
             }
         }
         f.block_mut(cand.home).remove(cand.id);
-        self.scratch.place_time[cand.id.index()] = self.scratch.place_time[j.index()];
-        self.placed.insert(cand.id.index());
+        self.scratch.place_time[cand.pos] = self.scratch.place_time[scope_pos(self.deps, j)];
+        self.placed.insert(cand.pos);
         self.stats.dup_copies_deduped += 1;
-        self.liveness = Liveness::compute(f, self.cfg);
-        self.stats.liveness_full += 1;
+        self.resolve_liveness(f, || {
+            format!("after folding {} from {} into {a}", cand.id, cand.home)
+        });
         true
+    }
+
+    /// Re-solves liveness from scratch after a motion the incremental
+    /// repair cannot model, on the same path — region-local or
+    /// whole-function — the region started on.
+    fn resolve_liveness(&mut self, f: &Function, when: impl FnOnce() -> String) {
+        self.liveness = solve_liveness(f, self.cfg, self.scope, self.boundary, self.stats);
+        if self.boundary.is_some() {
+            self.verify_liveness(f, when);
+        }
+    }
+
+    /// The liveness differential check: under debug builds or
+    /// [`SchedConfig::verify_each_pass`], panics unless the maintained
+    /// sets equal a whole-function [`Liveness::compute`] on every scope
+    /// block.
+    fn verify_liveness(&self, f: &Function, when: impl FnOnce() -> String) {
+        if !(cfg!(debug_assertions) || self.config.verify_each_pass.is_some()) {
+            return;
+        }
+        let full = Liveness::compute(f, self.cfg);
+        if let Some(b) = self.liveness.first_disagreement(&full, self.scope) {
+            panic!(
+                "{} liveness diverged from a full recompute at block {} {}",
+                if self.boundary.is_some() {
+                    "region-local"
+                } else {
+                    "incremental"
+                },
+                f.block(b).label(),
+                when()
+            );
+        }
     }
 
     /// §5.3 gate for a speculative candidate, with the renaming escape.
@@ -1047,7 +1222,7 @@ impl<O: SchedObserver> RegionPass<'_, O> {
         let clobbered: Vec<Reg> = op
             .defs()
             .into_iter()
-            .filter(|&r| self.liveness.live_out(a).contains(r))
+            .filter(|&r| self.liveness.is_live_out(a, r))
             .collect();
         if clobbered.is_empty() {
             return true;
@@ -1113,6 +1288,6 @@ impl<O: SchedObserver> RegionPass<'_, O> {
                 return true; // redefined before block end: chain is local
             }
         }
-        !self.liveness.live_out(bid).contains(r)
+        !self.liveness.is_live_out(bid, r)
     }
 }

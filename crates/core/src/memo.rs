@@ -47,7 +47,10 @@
 
 use crate::config::{SchedConfig, SchedLevel};
 use crate::fingerprint::{write_config_fingerprint, write_machine_fingerprint};
-use crate::global::{region_within_size_limits, schedule_region_observed, subtree_blocks};
+use crate::global::{
+    exit_blocks, exits_are_stable, region_within_size_limits, schedule_region_in_pass,
+    subtree_blocks,
+};
 use crate::stats::SchedStats;
 use gis_cfg::{Cfg, RegionId, RegionKind, RegionTree};
 use gis_ir::hash::Fnv64;
@@ -58,16 +61,6 @@ use gis_trace::{NopObserver, SchedObserver};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-const CLASSES: [RegClass; 3] = [RegClass::Gpr, RegClass::Fpr, RegClass::Cr];
-
-fn class_slot(class: RegClass) -> usize {
-    match class {
-        RegClass::Gpr => 0,
-        RegClass::Fpr => 1,
-        RegClass::Cr => 2,
-    }
-}
 
 /// Default number of scheduled regions the memo retains.
 const DEFAULT_CAPACITY: usize = 4096;
@@ -241,38 +234,6 @@ pub(crate) fn memo_eligible(config: &SchedConfig, tracing: bool) -> bool {
         && !config.inject_skip_dup_pred_check
 }
 
-/// Blocks outside `scope` that some scope block branches or falls
-/// through into, ascending and deduplicated. `scope` must be sorted.
-fn exit_blocks(f: &Function, scope: &[BlockId]) -> Vec<BlockId> {
-    let mut out = Vec::new();
-    for &b in scope {
-        for s in f.succs(b) {
-            if scope.binary_search(&s).is_err() {
-                out.push(s);
-            }
-        }
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-/// Whether every exit successor lives in a strict ancestor of `rid` —
-/// the condition under which its pass-start live-ins cannot go stale
-/// before `rid`'s turn (ancestors are scheduled after descendants, and
-/// no other region may mutate an ancestor's direct blocks).
-fn exits_are_stable(tree: &RegionTree, rid: RegionId, exits: &[BlockId]) -> bool {
-    let mut ancestors = Vec::new();
-    let mut cur = tree.region(rid).parent;
-    while let Some(p) = cur {
-        ancestors.push(p);
-        cur = tree.region(p).parent;
-    }
-    exits
-        .iter()
-        .all(|&s| ancestors.contains(&tree.innermost(s)))
-}
-
 /// Chains the region-tree shape below `rid` into the hasher: per region
 /// a kind tag, the header block, the direct block ids and the children
 /// (recursively, in child order — the order fixes the supernode
@@ -314,7 +275,7 @@ fn memo_key(
     for &b in exits {
         h.write_u32(b.index() as u32);
         for r in live.live_in(b).iter() {
-            h.write_u8(class_slot(r.class()) as u8);
+            h.write_u8(r.class().slot() as u8);
             h.write_u32(r.index());
         }
         h.write_u8(0xff);
@@ -324,12 +285,12 @@ fn memo_key(
     h.finish()
 }
 
-/// [`schedule_region_observed`] with memoization: an eligible region
+/// [`schedule_region_in_pass`] with memoization: an eligible region
 /// whose key was seen before is spliced from the memo; a miss schedules
 /// it and records the outcome. `pass_live` is the enclosing global
-/// pass's liveness, computed once on the pre-pass function — `None`
-/// bypasses the memo entirely (direct callers of
-/// [`crate::schedule_region`] have no pass to amortize it over).
+/// pass's liveness, computed once on the pre-pass function: the memo
+/// keys read it, and so do the region-local liveness solves. `None`
+/// bypasses the memo entirely.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn schedule_region_memoized<O: SchedObserver>(
     f: &mut Function,
@@ -343,7 +304,7 @@ pub(crate) fn schedule_region_memoized<O: SchedObserver>(
     pass_live: Option<&Liveness>,
 ) -> bool {
     let run = |f: &mut Function, stats: &mut SchedStats, obs: &mut O| {
-        schedule_region_observed(f, machine, cfg, tree, rid, config, stats, obs)
+        schedule_region_in_pass(f, machine, cfg, tree, rid, config, stats, obs, pass_live)
     };
     let Some(live) = pass_live else {
         return run(f, stats, obs);
@@ -373,7 +334,7 @@ pub(crate) fn schedule_region_memoized<O: SchedObserver>(
         splice(f, &entry);
         stats.absorb(entry.stats);
         if let Some(before) = gate {
-            verify_splice(&before, f, &entry, machine, cfg, tree, rid, config);
+            verify_splice(&before, f, &entry, machine, cfg, tree, rid, config, live);
         }
         return true;
     }
@@ -421,8 +382,8 @@ pub(crate) fn schedule_region_memoized<O: SchedObserver>(
 /// regions.
 fn splice(f: &mut Function, entry: &MemoEntry) {
     let cur_base = f.reg_counters();
-    for class in CLASSES {
-        for _ in 0..entry.draws[class_slot(class)] {
+    for class in RegClass::ALL {
+        for _ in 0..entry.draws[class.slot()] {
             f.fresh_reg(class);
         }
     }
@@ -446,7 +407,7 @@ fn splice(f: &mut Function, entry: &MemoEntry) {
     }
     let renamed = entry.draws != [0, 0, 0];
     let remap = |r: Reg| {
-        let s = class_slot(r.class());
+        let s = r.class().slot();
         if r.index() >= entry.reg_base[s] && r.index() < entry.reg_base[s] + entry.draws[s] {
             Reg::new(r.class(), cur_base[s] + (r.index() - entry.reg_base[s]))
         } else {
@@ -471,7 +432,9 @@ fn splice(f: &mut Function, entry: &MemoEntry) {
 }
 
 /// The differential gate: schedules the region for real on the pre-hit
-/// snapshot and panics unless the splice reproduced it bit for bit.
+/// snapshot — through the same pass-start liveness as the recorded run,
+/// so the liveness counters line up — and panics unless the splice
+/// reproduced it bit for bit.
 #[allow(clippy::too_many_arguments)]
 fn verify_splice(
     before: &Function,
@@ -482,10 +445,11 @@ fn verify_splice(
     tree: &RegionTree,
     rid: RegionId,
     config: &SchedConfig,
+    pass_live: &Liveness,
 ) {
     let mut real = before.snapshot();
     let mut st = SchedStats::default();
-    let ok = schedule_region_observed(
+    let ok = schedule_region_in_pass(
         &mut real,
         machine,
         cfg,
@@ -494,6 +458,7 @@ fn verify_splice(
         config,
         &mut st,
         &mut NopObserver,
+        Some(pass_live),
     );
     assert!(ok, "region memo: hit on a region the scheduler skips");
     assert_eq!(

@@ -63,18 +63,23 @@
 //!   registers — into the sequence the sequential pass would have drawn
 //!   from [`Function::fresh_inst_id`].
 //!
-//! Scheduling one region reads liveness over the whole function, but a
-//! *legal* motion in another task can never change the liveness facts a
-//! task consumes: useful motion stays between equivalent blocks (the
-//! upward-exposure of every register outside the pair is unchanged),
-//! speculative motion may not clobber a live-on-exit register (§5.3),
-//! and renaming replaces a du-chain that was local to its home block.
+//! Scheduling one region reads liveness at its blocks and at its exit
+//! successors — from the pass-start solve every task shares when the
+//! exits lie in ancestor regions, otherwise from a whole-function solve
+//! of the task's snapshot — but a *legal* motion in another task can
+//! never change the liveness facts a task consumes: useful motion stays
+//! between equivalent blocks (the upward-exposure of every register
+//! outside the pair is unchanged), speculative motion may not clobber a
+//! live-on-exit register (§5.3), and renaming replaces a du-chain that
+//! was local to its home block.
 //! The differential tests in `tests/parallel_determinism.rs` verify the
 //! equivalence end-to-end on every workload.
 
-use crate::config::SchedConfig;
-use crate::global::{region_within_size_limits, schedule_region_observed, subtree_blocks};
-use crate::memo::{memo_eligible, schedule_region_memoized};
+use crate::config::{SchedConfig, SchedLevel};
+use crate::global::{
+    region_within_size_limits, schedule_region_observed, solves_liveness_locally, subtree_blocks,
+};
+use crate::memo::schedule_region_memoized;
 use crate::stats::SchedStats;
 use gis_cfg::{Cfg, RegionId, RegionTree};
 use gis_ir::{BlockId, Function, Inst, InstId, Reg, RegClass};
@@ -177,16 +182,6 @@ struct TaskOutcome {
     reg_end: [u32; 3],
 }
 
-const CLASSES: [RegClass; 3] = [RegClass::Gpr, RegClass::Fpr, RegClass::Cr];
-
-fn class_slot(class: RegClass) -> usize {
-    match class {
-        RegClass::Gpr => 0,
-        RegClass::Fpr => 1,
-        RegClass::Cr => 2,
-    }
-}
-
 /// Subtrees below this many instructions are never split off — the
 /// snapshot and splice overhead would outweigh scheduling them inline.
 const SPLIT_MIN_INSTS: usize = 48;
@@ -213,12 +208,16 @@ pub(crate) fn global_pass<O: SchedObserver>(
         .filter(|r| tree.region(*r).height <= max_height)
         .collect();
     let jobs = effective_jobs(config.jobs);
-    // Pass-level liveness for the region memo's keys, computed once on
-    // the pre-pass function. Legal motions preserve the facts the keys
-    // read (exit live-ins at ancestor-region blocks; see the memo's
-    // module docs), so one compute serves every lookup of the pass.
-    let pass_live = (memo_eligible(config, obs.enabled()) && !order.is_empty())
-        .then(|| Liveness::compute(f, cfg));
+    // Pass-level liveness, computed once on the pre-pass function. Legal
+    // motions preserve the facts read from it — exit live-ins at
+    // ancestor-region blocks (see `exits_are_stable`) — so one compute
+    // serves every region's local liveness solve and every memo key of
+    // the pass (the memo is never eligible where regions may not solve
+    // locally).
+    let pass_live = (config.level != SchedLevel::BasicBlockOnly
+        && solves_liveness_locally(config)
+        && !order.is_empty())
+    .then(|| Liveness::compute(f, cfg));
     let sequential = |f: &mut Function, stats: &mut SchedStats, obs: &mut O| {
         for &rid in &order {
             schedule_region_memoized(
@@ -430,8 +429,8 @@ pub(crate) fn global_pass<O: SchedObserver>(
     // collide across tasks and are remapped region by region).
     for &rid in &order {
         let (ti, ro) = &outcomes[&rid];
-        for class in CLASSES {
-            let s = class_slot(class);
+        for class in RegClass::ALL {
+            let s = class.slot();
             for idx in ro.reg_from[s]..ro.reg_to[s] {
                 let renumbered = f.fresh_reg(class);
                 if *ti != usize::MAX {
@@ -724,8 +723,8 @@ fn run_task(
         // live in dependency blocks, which the dependency's own task
         // adopts from its own scratch.
         let mut remap: HashMap<Reg, Reg> = HashMap::new();
-        for class in CLASSES {
-            let s = class_slot(class);
+        for class in RegClass::ALL {
+            let s = class.slot();
             for idx in master_regs[s]..out.reg_end[s] {
                 remap.insert(Reg::new(class, idx), fu.fresh_reg(class));
             }
@@ -781,6 +780,8 @@ fn run_task(
 mod tests {
     use super::*;
     use crate::config::SchedLevel;
+    use crate::global::{exit_blocks, exits_are_stable, schedule_region};
+    use gis_trace::NopObserver;
 
     fn analyses(text: &str) -> (Function, Cfg, RegionTree) {
         let f = gis_ir::parse_function(text).expect("parses");
@@ -1057,5 +1058,90 @@ mod tests {
             "provenance renumbered identically"
         );
         assert!(!seq_origins.is_empty());
+    }
+
+    fn stable(f: &Function, tree: &RegionTree, rid: gis_cfg::RegionId) -> bool {
+        exits_are_stable(tree, rid, &exit_blocks(f, &subtree_blocks(tree, rid)))
+    }
+
+    #[test]
+    fn exits_into_a_sibling_loop_are_unstable() {
+        let (f, _, tree) = analyses(TWO_LOOPS);
+        let l1 = tree.innermost(BlockId::new(1));
+        let l2 = tree.innermost(BlockId::new(2));
+        assert_eq!(
+            exit_blocks(&f, &subtree_blocks(&tree, l1)),
+            [BlockId::new(2)]
+        );
+        assert!(!stable(&f, &tree, l1), "l1 exits into its sibling loop");
+        assert!(stable(&f, &tree, l2), "l2 exits into the routine body");
+        assert!(stable(&f, &tree, tree.root()), "the body has no exits");
+    }
+
+    /// In a pass, the region with an unstable exit takes the
+    /// whole-function fallback and the others solve locally — at every
+    /// width, with the verification gate (debug builds) comparing each
+    /// local solve against a full one.
+    #[test]
+    fn unstable_exits_fall_back_to_a_full_solve() {
+        let machine = MachineDescription::rs6k();
+        let mut config = SchedConfig::speculative();
+        config.region_memo = false;
+        config.max_region_blocks = 2; // one unit per loop; the body is skipped
+        let mut outs = Vec::new();
+        for jobs in [1, 2] {
+            config.jobs = jobs;
+            let (mut f, cfg, tree) = analyses(TWO_LOOPS);
+            let mut stats = SchedStats::default();
+            global_pass(
+                &mut f,
+                &machine,
+                &cfg,
+                &tree,
+                &config,
+                usize::MAX,
+                &mut stats,
+                &mut NopObserver,
+            );
+            assert_eq!(stats.regions_scheduled, 2, "jobs {jobs}: {stats:?}");
+            assert_eq!(stats.liveness_full, 1, "jobs {jobs}: l1 falls back");
+            assert_eq!(stats.liveness_region, 1, "jobs {jobs}: l2 solves locally");
+            outs.push(f.to_string());
+        }
+        assert_eq!(outs[0], outs[1]);
+
+        // The reference hot paths always solve whole-function.
+        config.jobs = 1;
+        config.reference_hot_paths = true;
+        let (mut f, cfg, tree) = analyses(TWO_LOOPS);
+        let mut stats = SchedStats::default();
+        global_pass(
+            &mut f,
+            &machine,
+            &cfg,
+            &tree,
+            &config,
+            usize::MAX,
+            &mut stats,
+            &mut NopObserver,
+        );
+        assert_eq!(stats.liveness_region, 0);
+        assert_eq!(f.to_string(), outs[0]);
+    }
+
+    /// A lone region has no pass-start boundary: the public entry point
+    /// always solves whole-function, even where a pass would go local.
+    #[test]
+    fn lone_regions_solve_whole_function() {
+        let machine = MachineDescription::rs6k();
+        let config = SchedConfig::speculative();
+        let (mut f, cfg, tree) = analyses(TWO_LOOPS);
+        let l2 = tree.innermost(BlockId::new(2));
+        assert!(stable(&f, &tree, l2));
+        let mut stats = SchedStats::default();
+        assert!(schedule_region(
+            &mut f, &machine, &cfg, &tree, l2, &config, &mut stats
+        ));
+        assert_eq!((stats.liveness_full, stats.liveness_region), (1, 0));
     }
 }

@@ -46,9 +46,17 @@ pub struct SchedStats {
     /// Post-motion liveness repairs done incrementally (region-local
     /// fixed point).
     pub liveness_incremental: usize,
-    /// Whole-function liveness computations (per-region initialization,
-    /// plus every motion when the reference hot paths are selected).
+    /// Whole-function liveness solves made while scheduling a region:
+    /// the initialization of a region that cannot solve locally (an exit
+    /// successor outside its ancestors, or no enclosing pass), its
+    /// duplication repairs, and every motion when the reference hot
+    /// paths are selected. The one pass-start solve per global pass that
+    /// region-local solves read their boundary from is not counted.
     pub liveness_full: usize,
+    /// Region-local liveness solves (`gis_pdg::Liveness::for_region`):
+    /// the initialization of every region whose exits are stable, plus
+    /// its duplication repairs.
+    pub liveness_region: usize,
     /// Per-region scratch buffer bundles allocated by the global
     /// scheduler.
     pub scratch_allocs: usize,
@@ -85,6 +93,7 @@ impl SchedStats {
         self.dep_edges_reduced += other.dep_edges_reduced;
         self.liveness_incremental += other.liveness_incremental;
         self.liveness_full += other.liveness_full;
+        self.liveness_region += other.liveness_region;
         self.scratch_allocs += other.scratch_allocs;
         self.scratch_reuses += other.scratch_reuses;
     }

@@ -185,16 +185,6 @@ pub struct RegSet {
     classes: [DenseBitSet; 3],
 }
 
-fn class_slot(class: RegClass) -> usize {
-    match class {
-        RegClass::Gpr => 0,
-        RegClass::Fpr => 1,
-        RegClass::Cr => 2,
-    }
-}
-
-const CLASS_ORDER: [RegClass; 3] = [RegClass::Gpr, RegClass::Fpr, RegClass::Cr];
-
 impl RegSet {
     /// Creates an empty set.
     pub fn new() -> Self {
@@ -203,17 +193,17 @@ impl RegSet {
 
     /// Inserts `r`. Returns `true` if it was not already present.
     pub fn insert(&mut self, r: Reg) -> bool {
-        self.classes[class_slot(r.class())].insert(r.index() as usize)
+        self.classes[r.class().slot()].insert(r.index() as usize)
     }
 
     /// Removes `r`. Returns `true` if it was present.
     pub fn remove(&mut self, r: Reg) -> bool {
-        self.classes[class_slot(r.class())].remove(r.index() as usize)
+        self.classes[r.class().slot()].remove(r.index() as usize)
     }
 
     /// Whether `r` is in the set.
     pub fn contains(&self, r: Reg) -> bool {
-        self.classes[class_slot(r.class())].contains(r.index() as usize)
+        self.classes[r.class().slot()].contains(r.index() as usize)
     }
 
     /// Removes every register, keeping the backing storage.
@@ -261,7 +251,7 @@ impl RegSet {
 
     /// Iterates the registers in `(class, index)` order.
     pub fn iter(&self) -> impl Iterator<Item = Reg> + '_ {
-        CLASS_ORDER
+        RegClass::ALL
             .iter()
             .enumerate()
             .flat_map(move |(slot, &class)| {

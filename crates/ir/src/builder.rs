@@ -190,11 +190,7 @@ impl FunctionBuilder {
 
     /// `CALL name` with explicit use/def registers.
     pub fn call(&mut self, name: impl Into<String>, uses: Vec<Reg>, defs: Vec<Reg>) -> InstId {
-        self.emit(Op::Call {
-            name: name.into(),
-            uses,
-            defs,
-        })
+        self.emit(Op::call(name, uses, defs))
     }
 
     /// `PRINT rs`

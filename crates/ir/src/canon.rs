@@ -216,11 +216,7 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 fn put_reg(out: &mut Vec<u8>, r: Reg) {
-    out.push(match r.class() {
-        RegClass::Gpr => 0,
-        RegClass::Fpr => 1,
-        RegClass::Cr => 2,
-    });
+    out.push(r.class().slot() as u8);
     put_u32(out, r.index());
 }
 
@@ -356,15 +352,15 @@ fn put_op(out: &mut Vec<u8>, op: &Op) {
             put_u32(out, target.index() as u32);
         }
         Op::Ret => out.push(14),
-        Op::Call { name, uses, defs } => {
+        Op::Call(call) => {
             out.push(15);
-            put_str(out, name);
-            put_u32(out, uses.len() as u32);
-            for r in uses {
+            put_str(out, &call.name);
+            put_u32(out, call.uses.len() as u32);
+            for r in &call.uses {
                 put_reg(out, *r);
             }
-            put_u32(out, defs.len() as u32);
-            for r in defs {
+            put_u32(out, call.defs.len() as u32);
+            for r in &call.defs {
                 put_reg(out, *r);
             }
         }
@@ -563,11 +559,11 @@ impl<'a> Cursor<'a> {
                 target: BlockId::new(self.u32()?),
             },
             14 => Op::Ret,
-            15 => Op::Call {
-                name: self.str()?,
-                uses: self.regs()?,
-                defs: self.regs()?,
-            },
+            15 => {
+                let name = self.str()?;
+                let uses = self.regs()?;
+                Op::call(name, uses, self.regs()?)
+            }
             16 => Op::Print { rs: self.reg()? },
             other => return Err(self.fail(&format!("bad op tag {other}"))),
         })
@@ -659,11 +655,7 @@ mod tests {
                 rs: g(5),
                 mem: MemRef::bare(g(1), 16),
             },
-            Op::Call {
-                name: "ext".into(),
-                uses: vec![g(3), g(4)],
-                defs: vec![g(6)],
-            },
+            Op::call("ext", vec![g(3), g(4)], vec![g(6)]),
             Op::Print { rs: g(6) },
             Op::Branch { target: done },
         ];

@@ -580,11 +580,7 @@ impl Function {
 
     /// Allocates a fresh symbolic register of `class`.
     pub fn fresh_reg(&mut self, class: RegClass) -> Reg {
-        let slot = match class {
-            RegClass::Gpr => 0,
-            RegClass::Fpr => 1,
-            RegClass::Cr => 2,
-        };
+        let slot = class.slot();
         let r = Reg::new(class, self.next_reg[slot]);
         self.next_reg[slot] += 1;
         r
@@ -608,11 +604,7 @@ impl Function {
         for (_, inst) in self.insts() {
             next_inst = next_inst.max(inst.id.index() as u32 + 1);
             for r in inst.op.defs().into_iter().chain(inst.op.uses()) {
-                let slot = match r.class() {
-                    RegClass::Gpr => 0,
-                    RegClass::Fpr => 1,
-                    RegClass::Cr => 2,
-                };
+                let slot = r.class().slot();
                 next_reg[slot] = next_reg[slot].max(r.index() + 1);
             }
         }

@@ -64,7 +64,7 @@ pub use block::{BlockId, Inst, InstId};
 pub use builder::FunctionBuilder;
 pub use canon::{canon_region, from_canonical_bytes, hash_region, to_canonical_bytes, CanonError};
 pub use function::{BlockMut, BlockRef, Function, Insts, SymId};
-pub use op::{CondBit, FpBinOp, FxBinOp, MemRef, Op, OpClass};
+pub use op::{CallOp, CondBit, FpBinOp, FxBinOp, MemRef, Op, OpClass};
 pub use parse::{parse_function, ParseFunctionError};
 pub use reg::{Reg, RegClass};
 pub use verify::VerifyFunctionError;

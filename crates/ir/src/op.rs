@@ -379,15 +379,10 @@ pub enum Op {
     /// `RET` — return from the function.
     Ret,
     /// `CALL name` — opaque call; uses and defines the listed registers
-    /// and may read or write any memory. Never moved or speculated.
-    Call {
-        /// Callee name (opaque).
-        name: String,
-        /// Registers the call reads.
-        uses: Vec<Reg>,
-        /// Registers the call writes.
-        defs: Vec<Reg>,
-    },
+    /// and may read or write any memory. Never moved or speculated. The
+    /// payload is boxed: calls are rare, and inline it would size every
+    /// other operation.
+    Call(Box<CallOp>),
     /// `PRINT rs` — append `rs` to the observable output trace (the
     /// reproduction's stand-in for `printf`). Behaves like a call.
     Print {
@@ -396,7 +391,27 @@ pub enum Op {
     },
 }
 
+/// The payload of [`Op::Call`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct CallOp {
+    /// Callee name (opaque).
+    pub name: String,
+    /// Registers the call reads.
+    pub uses: Vec<Reg>,
+    /// Registers the call writes.
+    pub defs: Vec<Reg>,
+}
+
 impl Op {
+    /// `CALL name` reading `uses` and writing `defs`.
+    pub fn call(name: impl Into<String>, uses: Vec<Reg>, defs: Vec<Reg>) -> Op {
+        Op::Call(Box::new(CallOp {
+            name: name.into(),
+            uses,
+            defs,
+        }))
+    }
+
     /// Registers written by this operation.
     pub fn defs(&self) -> Vec<Reg> {
         match self {
@@ -409,7 +424,7 @@ impl Op {
                 vec![*crt]
             }
             Op::BranchCond { .. } | Op::Branch { .. } | Op::Ret | Op::Print { .. } => vec![],
-            Op::Call { defs, .. } => defs.clone(),
+            Op::Call(call) => call.defs.clone(),
         }
     }
 
@@ -427,7 +442,7 @@ impl Op {
                 out.push(*crt)
             }
             Op::BranchCond { .. } | Op::Branch { .. } | Op::Ret | Op::Print { .. } => {}
-            Op::Call { defs, .. } => out.extend_from_slice(defs),
+            Op::Call(call) => out.extend_from_slice(&call.defs),
         }
     }
 
@@ -444,7 +459,7 @@ impl Op {
             Op::CompareImm { ra, .. } => vec![*ra],
             Op::BranchCond { cr, .. } => vec![*cr],
             Op::Branch { .. } | Op::Ret => vec![],
-            Op::Call { uses, .. } => uses.clone(),
+            Op::Call(call) => call.uses.clone(),
             Op::Print { rs } => vec![*rs],
         }
     }
@@ -463,7 +478,7 @@ impl Op {
             Op::CompareImm { ra, .. } => out.push(*ra),
             Op::BranchCond { cr, .. } => out.push(*cr),
             Op::Branch { .. } | Op::Ret => {}
-            Op::Call { uses, .. } => out.extend_from_slice(uses),
+            Op::Call(call) => out.extend_from_slice(&call.uses),
             Op::Print { rs } => out.push(*rs),
         }
     }
@@ -492,7 +507,7 @@ impl Op {
             Op::Compare { .. } | Op::CompareImm { .. } => OpClass::FxCompare,
             Op::FpCompare { .. } => OpClass::FpCompare,
             Op::BranchCond { .. } | Op::Branch { .. } | Op::Ret => OpClass::Branch,
-            Op::Call { .. } | Op::Print { .. } => OpClass::Call,
+            Op::Call(_) | Op::Print { .. } => OpClass::Call,
         }
     }
 
@@ -523,7 +538,7 @@ impl Op {
                 | Op::LoadUpdate { .. }
                 | Op::Store { .. }
                 | Op::StoreUpdate { .. }
-                | Op::Call { .. }
+                | Op::Call(_)
                 | Op::Print { .. }
         )
     }
@@ -543,7 +558,7 @@ impl Op {
     pub fn writes_memory(&self) -> bool {
         matches!(
             self,
-            Op::Store { .. } | Op::StoreUpdate { .. } | Op::Call { .. } | Op::Print { .. }
+            Op::Store { .. } | Op::StoreUpdate { .. } | Op::Call(_) | Op::Print { .. }
         )
     }
 
@@ -551,7 +566,7 @@ impl Op {
     /// block at all. The paper excludes calls (§5.1); we treat `PRINT`
     /// as a call. Branches are anchored by the framework itself.
     pub fn may_cross_block(&self) -> bool {
-        !matches!(self, Op::Call { .. } | Op::Print { .. }) && !self.is_branch()
+        !matches!(self, Op::Call(_) | Op::Print { .. }) && !self.is_branch()
     }
 
     /// Whether the scheduler may execute this instruction speculatively
@@ -587,8 +602,8 @@ impl Op {
             Op::CompareImm { ra, .. } => *ra = f(*ra),
             Op::BranchCond { cr, .. } => *cr = f(*cr),
             Op::Branch { .. } | Op::Ret => {}
-            Op::Call { uses, .. } => {
-                for u in uses {
+            Op::Call(call) => {
+                for u in &mut call.uses {
                     *u = f(*u);
                 }
             }
@@ -614,8 +629,8 @@ impl Op {
                 *crt = f(*crt)
             }
             Op::BranchCond { .. } | Op::Branch { .. } | Op::Ret | Op::Print { .. } => {}
-            Op::Call { defs, .. } => {
-                for d in defs {
+            Op::Call(call) => {
+                for d in &mut call.defs {
                     *d = f(*d);
                 }
             }
@@ -690,7 +705,7 @@ pub(crate) fn check_operand_classes(op: &Op) -> Result<(), String> {
             want(*rb, RegClass::Fpr, "fp compare operand")
         }
         Op::BranchCond { cr, .. } => want(*cr, RegClass::Cr, "branch condition"),
-        Op::Branch { .. } | Op::Ret | Op::Call { .. } => Ok(()),
+        Op::Branch { .. } | Op::Ret | Op::Call(_) => Ok(()),
         Op::Print { rs } => want(*rs, RegClass::Gpr, "PRINT operand"),
     }
 }
@@ -746,13 +761,21 @@ mod tests {
         assert_eq!(bc.uses(), vec![Reg::cr(7)]);
     }
 
+    /// Every instruction of every function, snapshot and memo entry
+    /// carries an `Op`: keep it at 40 bytes (the boxed call payload is
+    /// what holds it there).
+    #[test]
+    fn op_stays_small() {
+        assert!(
+            std::mem::size_of::<Op>() <= 40,
+            "Op grew to {} bytes",
+            std::mem::size_of::<Op>()
+        );
+    }
+
     #[test]
     fn call_and_print_are_anchored() {
-        let call = Op::Call {
-            name: "f".into(),
-            uses: vec![gpr(3)],
-            defs: vec![gpr(3)],
-        };
+        let call = Op::call("f", vec![gpr(3)], vec![gpr(3)]);
         assert!(!call.may_cross_block());
         assert!(!call.may_speculate());
         assert!(call.touches_memory());

@@ -75,13 +75,23 @@ pub fn parse_function(text: &str) -> Result<Function, ParseFunctionError> {
     let mut f = Function::new("main");
     let mut labels: HashMap<String, BlockId> = HashMap::new();
 
-    // Pass 1: function name and block labels (in order).
+    // Pass 1: function name and block labels (in order). One function
+    // per text: the header, if any, must come first.
+    let mut header_seen = false;
     for (lno, raw) in text.lines().enumerate() {
         let line = strip_comment(raw).trim();
         if line.is_empty() {
             continue;
         }
         if let Some(name) = line.strip_prefix("func ") {
+            if header_seen || !labels.is_empty() {
+                return Err(err(
+                    lno + 1,
+                    "unexpected `func` header: the text holds one function, \
+                     and its header must precede the first block",
+                ));
+            }
+            header_seen = true;
             f = Function::new(name.trim());
             continue;
         }
@@ -396,11 +406,7 @@ fn parse_op(
                 }
                 inner.split(',').map(|r| parse_reg(r, lno)).collect()
             };
-            Ok(Op::Call {
-                name,
-                uses: parse_list(uses_s)?,
-                defs: parse_list(defs_s)?,
-            })
+            Ok(Op::call(name, parse_list(uses_s)?, parse_list(defs_s)?))
         }
         _ => {
             if let Some((op, is_imm)) = fx_binop(mn) {
@@ -500,13 +506,27 @@ CL.end:
         let f = parse_function(text).expect("parses");
         let (_, inst) = f.insts().next().unwrap();
         match &inst.op {
-            Op::Call { name, uses, defs } => {
-                assert_eq!(name, "foo");
-                assert_eq!(uses.len(), 2);
-                assert_eq!(defs, &vec![Reg::gpr(3)]);
+            Op::Call(call) => {
+                assert_eq!(call.name, "foo");
+                assert_eq!(call.uses.len(), 2);
+                assert_eq!(call.defs, vec![Reg::gpr(3)]);
             }
             other => panic!("expected call, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_second_function_header_is_an_error() {
+        let text = "func a\nA:\n LI r1=1\nB:\n RET\nfunc b\nC:\n RET\n";
+        let e = parse_function(text).unwrap_err();
+        assert_eq!(e.line, 6, "{e}");
+        assert!(e.message.contains("func"), "{e}");
+        // A lone header after the blocks is rejected the same way.
+        let e = parse_function("A:\n RET\nfunc late\n").unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        // Two headers before any block, too.
+        let e = parse_function("func a\nfunc b\nA:\n RET\n").unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
     }
 
     #[test]

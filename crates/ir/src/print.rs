@@ -69,14 +69,19 @@ impl Function {
             }
             Op::Branch { target } => format!("B      {}", label(*target)),
             Op::Ret => "RET".to_owned(),
-            Op::Call { name, uses, defs } => {
+            Op::Call(call) => {
                 let list = |rs: &[crate::Reg]| {
                     rs.iter()
                         .map(|r| r.to_string())
                         .collect::<Vec<_>>()
                         .join(",")
                 };
-                format!("CALL   {name}({})->({})", list(uses), list(defs))
+                format!(
+                    "CALL   {}({})->({})",
+                    call.name,
+                    list(&call.uses),
+                    list(&call.defs)
+                )
             }
             Op::Print { rs } => format!("PRINT  {rs}"),
         }

@@ -20,6 +20,22 @@ pub enum RegClass {
 }
 
 impl RegClass {
+    /// Every class, in [`slot`](Self::slot) order.
+    pub const ALL: [RegClass; 3] = [RegClass::Gpr, RegClass::Fpr, RegClass::Cr];
+
+    /// The class's dense index (`0..3`, in [`ALL`](Self::ALL) order) —
+    /// what per-class tables such as
+    /// [`Function::reg_counters`](crate::Function::reg_counters) are
+    /// indexed by. It doubles as the class tag of the canonical bytes,
+    /// so the order is fixed.
+    pub fn slot(self) -> usize {
+        match self {
+            RegClass::Gpr => 0,
+            RegClass::Fpr => 1,
+            RegClass::Cr => 2,
+        }
+    }
+
     /// One-letter-ish prefix used by [`Reg`]'s `Display`.
     pub fn prefix(self) -> &'static str {
         match self {
@@ -107,6 +123,13 @@ impl fmt::Display for Reg {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    #[test]
+    fn slots_follow_all() {
+        for (i, class) in RegClass::ALL.into_iter().enumerate() {
+            assert_eq!(class.slot(), i, "{class}");
+        }
+    }
 
     #[test]
     fn display_spellings() {

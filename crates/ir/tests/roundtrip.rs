@@ -93,11 +93,7 @@ fn arb_body_op(r: &mut XorShift64Star, sym: gis_ir::SymId) -> Op {
             rb: arb_fpr(r),
         },
         10 => Op::Print { rs: arb_gpr(r) },
-        _ => Op::Call {
-            name: "helper".into(),
-            uses: vec![arb_gpr(r)],
-            defs: vec![arb_gpr(r)],
-        },
+        _ => Op::call("helper", vec![arb_gpr(r)], vec![arb_gpr(r)]),
     }
 }
 

@@ -17,7 +17,7 @@ pub fn eliminate_dead_code(f: &mut Function) -> usize {
     let mut removed = 0;
     let blocks: Vec<BlockId> = f.block_ids().collect();
     for bid in blocks {
-        let mut live_set: RegSet = live.live_out(bid).clone();
+        let mut live_set: RegSet = live.live_out(bid).into_owned();
         let mut keep: Vec<bool> = vec![true; f.block(bid).len()];
         for (pos, inst) in f.block(bid).insts().enumerate().rev() {
             let op = &inst.op;

@@ -48,7 +48,7 @@ pub fn register_pressure(f: &Function, cfg: &Cfg) -> PressureReport {
     let liveness = Liveness::compute(f, cfg);
     let mut report = PressureReport::default();
     for (bid, block) in f.blocks() {
-        let mut live = liveness.live_out(bid).clone();
+        let mut live = liveness.live_out(bid).into_owned();
         report.absorb(&live);
         for inst in block.insts().rev() {
             for d in inst.op.defs() {

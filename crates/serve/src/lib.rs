@@ -35,11 +35,12 @@ use gis_core::SchedStats;
 /// The scheduler's performance counters as metric name/value pairs —
 /// the same names `gisc --metrics` prints for one-shot compiles, so
 /// daemon metrics and CLI metrics line up.
-pub fn perf_counters(stats: &SchedStats) -> [(&'static str, u64); 6] {
+pub fn perf_counters(stats: &SchedStats) -> [(&'static str, u64); 7] {
     [
         ("perf.dep-edges", stats.dep_edges as u64),
         ("perf.dep-edges-reduced", stats.dep_edges_reduced as u64),
         ("perf.liveness-full", stats.liveness_full as u64),
+        ("perf.liveness-region", stats.liveness_region as u64),
         (
             "perf.liveness-incremental",
             stats.liveness_incremental as u64,

@@ -366,12 +366,12 @@ pub fn execute(
                     next = None;
                     transferred = true;
                 }
-                Op::Call { name, uses, defs } => {
-                    let args: Vec<i64> = uses.iter().map(|u| st.read_g(*u)).collect();
-                    for (slot, d) in defs.iter().enumerate() {
-                        st.write_g(*d, call_value(name, &args, slot));
+                Op::Call(call) => {
+                    let args: Vec<i64> = call.uses.iter().map(|u| st.read_g(*u)).collect();
+                    for (slot, d) in call.defs.iter().enumerate() {
+                        st.write_g(*d, call_value(&call.name, &args, slot));
                     }
-                    output.push(OutputEvent::Call(name.clone(), args));
+                    output.push(OutputEvent::Call(call.name.clone(), args));
                 }
                 Op::Print { rs } => output.push(OutputEvent::Print(st.read_g(*rs))),
             }

@@ -292,11 +292,12 @@ fn parse_args() -> Options {
 /// metrics registry — surfaced by `--metrics` and the HTML report's
 /// metrics section. The `perf.` prefix keeps them grouped (and apart from
 /// the event-derived counters) in the sorted registry listing.
-fn perf_counters(stats: &SchedStats) -> [(&'static str, u64); 6] {
+fn perf_counters(stats: &SchedStats) -> [(&'static str, u64); 7] {
     [
         ("perf.dep-edges", stats.dep_edges as u64),
         ("perf.dep-edges-reduced", stats.dep_edges_reduced as u64),
         ("perf.liveness-full", stats.liveness_full as u64),
+        ("perf.liveness-region", stats.liveness_region as u64),
         (
             "perf.liveness-incremental",
             stats.liveness_incremental as u64,

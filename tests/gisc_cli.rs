@@ -71,6 +71,36 @@ fn rejects_bad_input_with_a_message() {
 }
 
 #[test]
+fn a_second_func_header_is_a_clean_error() {
+    use std::io::Write as _;
+    let mut child = gisc()
+        .args(["--asm", "-"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawns");
+    child
+        .stdin
+        .take()
+        .expect("stdin")
+        .write_all(b"func a\nA:\n LI r1=1\nB:\n RET\nfunc b\nC:\n RET\n")
+        .expect("writes");
+    let out = child.wait_with_output().expect("finishes");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "an error exit, not a panic: {stderr}"
+    );
+    assert!(
+        stderr.contains("gisc:") && stderr.contains("line 6"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn malformed_jobs_gets_a_specific_error() {
     for bad in ["banana", "-2", "1.5", ""] {
         let out = gisc()
@@ -236,6 +266,7 @@ fn metrics_flag_prints_the_perf_counters() {
         "perf.dep-edges",
         "perf.dep-edges-reduced",
         "perf.liveness-full",
+        "perf.liveness-region",
         "perf.liveness-incremental",
         "perf.scratch-allocs",
         "perf.scratch-reuses",
