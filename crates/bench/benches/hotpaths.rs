@@ -1,6 +1,7 @@
 //! Hot-path benchmarks with a tracked baseline: the sweep dependence
 //! builder vs the all-pairs reference, incremental liveness repair vs a
-//! whole-function recompute, and end-to-end compilation with
+//! whole-function recompute, linear web renaming vs the
+//! reaching-definitions reference, and end-to-end compilation with
 //! [`SchedConfig::reference_hot_paths`] on and off — measured on the
 //! scaled [`synth::MANY_LOOPS_PRESETS`] workloads.
 //!
@@ -22,7 +23,14 @@
 //! function's text; the fast and reference paths must hash identically
 //! (the rewrite preserves output bit for bit), as must every `jobs`
 //! width (1/2/4/8) — the run aborts on any mismatch rather than
-//! reporting a speedup for a scheduler that changed its answer.
+//! reporting a speedup for a scheduler that changed its answer. The
+//! `rename` rows carry the FNV-64 of the renamed function's canonical
+//! bytes, which must match between the linear and reference renamings.
+//!
+//! Scaling gate: the run fails if linear renaming's nanoseconds per
+//! instruction on many-loops-l exceed [`MAX_RENAME_SCALING`] times those
+//! on many-loops-s — a super-linear regression fails the bench, smoke
+//! runs included.
 //!
 //! Two groups measure this PR's work-distribution machinery. The
 //! `e2e-memo` group compiles many-loops-m against a cold vs a warm
@@ -40,14 +48,20 @@
 
 use gis_cfg::{Cfg, DomTree, LoopForest, RegionKind, RegionTree};
 use gis_core::{compile, SchedConfig};
+use gis_ir::canon::to_canonical_bytes;
 use gis_ir::hash::fnv64_str as fnv64;
 use gis_ir::{BlockId, Function};
 use gis_machine::MachineDescription;
+use gis_pdg::webs::{rename_webs, rename_webs_reference, RenameStats};
 use gis_pdg::{DataDeps, Liveness};
 use gis_sim::{execute, ExecConfig, TimingSim};
 use gis_workloads::synth;
 use std::hint::black_box;
 use std::time::Instant;
+
+/// The largest many-loops-l / many-loops-s ratio of linear renaming's
+/// nanoseconds per instruction the run accepts.
+const MAX_RENAME_SCALING: f64 = 3.0;
 
 /// One emitted measurement.
 struct Row {
@@ -189,6 +203,50 @@ fn bench_liveness(
         schedule_hash: None,
     });
     full as f64 / incremental.max(1) as f64
+}
+
+/// Times web renaming on `f`: the linear walk (`dense`) vs the
+/// reaching-definitions oracle (`reference`), after asserting both
+/// leave identical canonical bytes. Returns the reference/dense speedup
+/// and the dense nanoseconds per instruction.
+fn bench_rename(
+    preset: &str,
+    f: &Function,
+    iters: u32,
+    runs: usize,
+    rows: &mut Vec<Row>,
+) -> (f64, f64) {
+    let cfg = Cfg::new(f);
+    let n_insts = f.num_insts();
+    let renamed = |rename: fn(&mut Function, &Cfg) -> RenameStats| {
+        let mut g = f.clone();
+        rename(&mut g, &cfg);
+        g
+    };
+    let hash = |g: Function| gis_ir::hash::fnv64(&to_canonical_bytes(&g));
+    let dense_hash = hash(renamed(rename_webs));
+    let ref_hash = hash(renamed(rename_webs_reference));
+    assert_eq!(
+        dense_hash, ref_hash,
+        "{preset}: linear renaming diverges from the reference \
+         ({dense_hash:016x} vs {ref_hash:016x})"
+    );
+    // The linear walk is cheap: take a real median even in smoke mode,
+    // so the scaling gate does not rest on a single sample.
+    let dense = median_ns(iters, runs.max(5), || renamed(rename_webs));
+    let reference = median_ns(iters, runs, || renamed(rename_webs_reference));
+    for (label, ns) in [("dense", dense), ("reference", reference)] {
+        rows.push(Row {
+            name: format!("rename/{preset}/{label}"),
+            n_insts,
+            median_ns: ns,
+            schedule_hash: Some(dense_hash),
+        });
+    }
+    (
+        reference as f64 / dense.max(1) as f64,
+        dense as f64 / n_insts.max(1) as f64,
+    )
 }
 
 fn bench_end_to_end(
@@ -558,6 +616,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut speedups = Vec::new();
     let mut jobs_hash_match = true;
+    let mut rename_ns_per_inst = Vec::new();
     for &(preset, loops, stmts, seed) in synth::MANY_LOOPS_PRESETS {
         let w = synth::many_loops_scaled(loops, stmts, seed);
         let f = &w.program.function;
@@ -568,10 +627,13 @@ fn main() {
         );
         let dep = bench_dep_build(preset, f, &machine, &config, iters, runs, &mut rows);
         let live = bench_liveness(preset, f, &config, iters, runs, &mut rows);
+        let (rename, per_inst) = bench_rename(preset, f, iters, runs, &mut rows);
+        rename_ns_per_inst.push(per_inst);
         let (e2e, jobs4, hashes_ok) = bench_end_to_end(preset, f, &machine, iters, runs, &mut rows);
         jobs_hash_match &= hashes_ok;
         speedups.push((format!("dep-build/{preset}"), dep));
         speedups.push((format!("liveness/{preset}"), live));
+        speedups.push((format!("rename/{preset}"), rename));
         speedups.push((format!("e2e/{preset}"), e2e));
         speedups.push((format!("jobs4/{preset}"), jobs4));
         if preset == "many-loops-m" {
@@ -591,6 +653,10 @@ fn main() {
         );
         jobs_hash_match &= bench_steal(preset, f, &machine, iters, runs, &mut rows, &mut speedups);
     }
+
+    // MANY_LOOPS_PRESETS runs smallest first.
+    let rename_scaling = rename_ns_per_inst[rename_ns_per_inst.len() - 1] / rename_ns_per_inst[0];
+    speedups.push(("rename-scaling/l-over-s".to_owned(), rename_scaling));
 
     let mut quality = Vec::new();
     for &(preset, diamonds, seed) in synth::DISPATCH_DIAMONDS_PRESETS {
@@ -618,6 +684,11 @@ fn main() {
     for (name, x) in &speedups {
         println!("speedup/{name:<40} {x:>11.2}x");
     }
+    assert!(
+        rename_scaling <= MAX_RENAME_SCALING,
+        "rename scales super-linearly: many-loops-l costs {rename_scaling:.2}x \
+         many-loops-s per instruction (gate {MAX_RENAME_SCALING})"
+    );
     let json = to_json(&rows, &quality, &speedups, jobs_hash_match, smoke);
     std::fs::write(&out_path, &json).expect("writing the baseline file");
     println!("hotpaths: baseline written to {out_path}");

@@ -4,6 +4,13 @@
 //! numbers quantify what the cache buys a client that resubmits
 //! mostly-unchanged programs (the build-system recompile pattern).
 //!
+//! A third row, `serve/warm-region`, measures the second cache tier on
+//! its own: the same batch on a fresh daemon with the whole-function
+//! cache disabled (`cache_cap: 0`), after the cold pass has filled the
+//! process-wide region memo. Every function misses the first tier and
+//! splices its regions instead of re-scheduling them, so the row sets
+//! the warm whole-function hit against the warm region splice.
+//!
 //! Hand-rolled harness (`harness = false`, like `hotpaths.rs`): the
 //! sandbox builds offline, so criterion is unavailable. The run starts a
 //! real in-process daemon on a unix socket and drives it through the
@@ -20,11 +27,11 @@
 //! cargo bench -p gis-bench --bench serve -- --out out.json
 //! ```
 //!
-//! Correctness is part of the measurement contract: the warm pass must
-//! return bit-identical schedule hashes to the cold pass (the cache may
-//! never change the scheduler's answer) and must be at least 5x faster
-//! per function — the run aborts rather than record a baseline that
-//! violates either.
+//! Correctness is part of the measurement contract: the warm and
+//! warm-region passes must return bit-identical schedule hashes to the
+//! cold pass (neither cache tier may change the scheduler's answer), and
+//! the warm pass must be at least 5x faster per function — the run
+//! aborts rather than record a baseline that violates either.
 
 use gis_serve::{start, Client, FuncOutcome, FuncSpec, Lang, Listen, ServeConfig};
 use gis_workloads::loadgen;
@@ -60,7 +67,7 @@ fn hashes_of(batch: &gis_serve::client::BatchResult, expect_cached: bool) -> Vec
 
 /// Serializes the rows and summary as a stable, pretty-printed JSON
 /// document (std only — names are ASCII, so no escaping is needed).
-fn to_json(rows: &[Row], speedup: f64, hashes_match: bool, smoke: bool) -> String {
+fn to_json(rows: &[Row], speedups: &[(&str, f64)], hashes_match: bool, smoke: bool) -> String {
     use std::fmt::Write as _;
     let mut out = String::from("{\n  \"bench\": \"serve\",\n  \"machine\": \"rs6k\",\n");
     let _ = writeln!(out, "  \"smoke\": {smoke},");
@@ -75,7 +82,10 @@ fn to_json(rows: &[Row], speedup: f64, hashes_match: bool, smoke: bool) -> Strin
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n  \"speedups\": {\n");
-    let _ = writeln!(out, "    \"warm-over-cold\": {speedup:.2}");
+    for (i, (name, x)) in speedups.iter().enumerate() {
+        let _ = write!(out, "    \"{name}\": {x:.2}");
+        out.push_str(if i + 1 < speedups.len() { ",\n" } else { "\n" });
+    }
     out.push_str("  }\n}\n");
     out
 }
@@ -108,12 +118,21 @@ fn main() {
         })
         .collect();
 
-    let sock = std::env::temp_dir().join(format!("gis-bench-serve-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&sock);
-    let mut config = ServeConfig::new(Listen::Unix(sock.clone()));
-    config.jobs = 4;
-    let server = start(config).expect("daemon starts");
-    let mut client = Client::connect(&Listen::Unix(sock)).expect("client connects");
+    // `cache_cap: None` keeps the default whole-function cache.
+    let daemon = |tag: &str, cache_cap: Option<usize>| {
+        let sock =
+            std::env::temp_dir().join(format!("gis-bench-serve-{}-{tag}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&sock);
+        let mut config = ServeConfig::new(Listen::Unix(sock.clone()));
+        config.jobs = 4;
+        if let Some(cap) = cache_cap {
+            config.cache_cap = cap;
+        }
+        let server = start(config).expect("daemon starts");
+        let client = Client::connect(&Listen::Unix(sock)).expect("client connects");
+        (server, client)
+    };
+    let (server, mut client) = daemon("cached", None);
 
     println!("serve: {distinct} distinct functions ({loops} loops x {stmts} stmts), jobs 4");
     let t0 = Instant::now();
@@ -152,6 +171,27 @@ fn main() {
     assert_eq!(metrics.counter("cache.hits") as usize, distinct);
     assert_eq!(metrics.counter("cache.misses") as usize, distinct);
 
+    // The region tier alone: whole-function cache off, memo still warm.
+    let (server, mut client) = daemon("region", Some(0));
+    let splices_before = gis_core::region_memo_counters().splices;
+    let t0 = Instant::now();
+    let region = client
+        .schedule_batch(Lang::TinyC, "rs6k", Vec::new(), &funcs)
+        .expect("warm-region batch");
+    let region_ns = t0.elapsed().as_nanos();
+    let region_hashes = hashes_of(&region, false);
+    client.shutdown_server().expect("shutdown");
+    server.join();
+    assert!(
+        cold_hashes == region_hashes,
+        "warm-region hashes diverge from cold ({cold_hashes:x?} vs {region_hashes:x?}) — \
+         the region memo changed the scheduler's output"
+    );
+    assert!(
+        gis_core::region_memo_counters().splices > splices_before,
+        "the warm-region pass spliced nothing"
+    );
+
     let rows = vec![
         Row {
             name: "serve/cold".to_owned(),
@@ -165,6 +205,12 @@ fn main() {
             total_ns: warm_ns,
             per_func_ns: warm_ns / distinct as u128,
         },
+        Row {
+            name: "serve/warm-region".to_owned(),
+            funcs: distinct,
+            total_ns: region_ns,
+            per_func_ns: region_ns / distinct as u128,
+        },
     ];
     for r in &rows {
         println!(
@@ -172,8 +218,21 @@ fn main() {
             r.name, r.total_ns, r.per_func_ns
         );
     }
-    println!("speedup/warm-over-cold {speedup:>26.2}x");
-    let json = to_json(&rows, speedup, hashes_match, smoke);
+    let speedups = [
+        ("warm-over-cold", speedup),
+        (
+            "warm-region-over-cold",
+            cold_ns as f64 / region_ns.max(1) as f64,
+        ),
+        (
+            "warm-over-warm-region",
+            region_ns as f64 / warm_ns.max(1) as f64,
+        ),
+    ];
+    for (name, x) in speedups {
+        println!("speedup/{name:<30} {x:>10.2}x");
+    }
+    let json = to_json(&rows, &speedups, hashes_match, smoke);
     std::fs::write(&out_path, &json).expect("writing the baseline file");
     println!("serve: baseline written to {out_path}");
 }

@@ -101,6 +101,35 @@ fn a_second_func_header_is_a_clean_error() {
 }
 
 #[test]
+fn renames_an_unreachable_loop_reading_an_undefined_register() {
+    use std::io::Write as _;
+    // L is unreachable and r9 circulates around its back edge with no
+    // definition reaching it: renaming falls back to the entry value.
+    let mut child = gisc()
+        .args(["--asm", "-"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawns");
+    child
+        .stdin
+        .take()
+        .expect("stdin")
+        .write_all(
+            b"func u\nA:\n LI r1=1\n PRINT r1\n RET\n\
+              L:\n AI r1=r1,1\n C cr0=r1,r9\n BT L,cr0,0x1/lt\n\
+              M:\n PRINT r9\n RET\n",
+        )
+        .expect("writes");
+    let out = child.wait_with_output().expect("finishes");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("PRINT  r9"), "{stdout}");
+}
+
+#[test]
 fn malformed_jobs_gets_a_specific_error() {
     for bad in ["banana", "-2", "1.5", ""] {
         let out = gisc()
